@@ -328,6 +328,7 @@ pub(crate) fn until_probabilities_run(
         return Ok(x);
     }
     let mut last_delta = f64::INFINITY;
+    let mut sweeps = run.sweeps();
     for _ in 0..opts.max_iterations {
         if let Some(cause) = run.exhausted() {
             // Out of budget: the current iterate is a sound lower (Max) /
@@ -336,7 +337,7 @@ pub(crate) fn until_probabilities_run(
             run.record_residual(last_delta);
             return Ok(x);
         }
-        run.spend(1);
+        sweeps.charge(1);
         let mut delta: f64 = 0.0;
         for &s in &maybe {
             let per_choice = model
@@ -400,13 +401,14 @@ pub(crate) fn reach_rewards_run(
         return Ok(x);
     }
     let mut last_delta = f64::INFINITY;
+    let mut sweeps = run.sweeps();
     for _ in 0..opts.max_iterations {
         if let Some(cause) = run.exhausted() {
             run.mark_exhausted(cause);
             run.record_residual(last_delta);
             return Ok(x);
         }
-        run.spend(1);
+        sweeps.charge(1);
         let mut delta: f64 = 0.0;
         for &s in &maybe {
             let per_choice = model.choices(s).iter().enumerate().map(|(ci, c)| {

@@ -19,6 +19,13 @@
 //! the remaining mass `1 − Σ lo` greedily in value order (ascending to
 //! minimize, descending to maximize), capping each transition at `hi`.
 //!
+//! Unbounded solves run in topological order: the successor graph over the
+//! states that update is condensed into strongly connected components,
+//! which are solved sinks first — a single state without a self-loop in
+//! one backup, every other block by in-place Gauss–Seidel sweeps in
+//! ascending state order to a per-block share of the tolerance.
+//! Step-bounded solves keep exact synchronous `k`-step semantics.
+//!
 //! **Supported fragment.** Top-level `P ⋈ b [·]` / `R ⋈ c [·]` whose
 //! operands are propositional (labels and boolean connectives), plus purely
 //! propositional formulas (which need no uncertainty reasoning). Nested
@@ -40,9 +47,10 @@
 use tml_logic::{PathFormula, Query, RewardKind, StateFormula};
 use tml_models::interval::{IntervalChoice, IntervalDtmc, IntervalMdp, IntervalTransition};
 use tml_models::{Labeling, RewardStructure};
+use tml_numerics::scc::condensation_from;
 use tml_numerics::{Budget, Diagnostics};
 
-use crate::run::CheckRun;
+use crate::run::{CheckRun, SweepTally};
 use crate::{CheckError, CheckOptions, LinearSolver};
 
 /// Reach probabilities this close to one count as "almost surely" when
@@ -224,14 +232,24 @@ fn validate_row(row: &[IntervalTransition], state: usize) -> Result<(), CheckErr
 /// Extremizes `Σ p_t · x_t` over the row polytope in `O(n log n)`: lower
 /// bounds everywhere, then the remaining mass in value order. Ties break on
 /// the target index so the result is independent of input ordering.
-fn inner_expectation(row: &[IntervalTransition], values: &[f64], maximize: bool) -> f64 {
+/// `order` is caller-owned scratch, so a backup allocates nothing.
+fn inner_expectation(
+    row: &[IntervalTransition],
+    values: &[f64],
+    maximize: bool,
+    order: &mut Vec<usize>,
+) -> f64 {
     // Accumulate in target order so the result is bitwise independent of
-    // the input row ordering (builders sort rows, hand-built slices may not).
-    let mut order: Vec<usize> = (0..row.len()).collect();
-    order.sort_unstable_by_key(|&i| row[i].0);
+    // the input row ordering. Model rows are sorted by construction; only
+    // hand-built slices need the sort.
+    order.clear();
+    order.extend(0..row.len());
+    if !row.windows(2).all(|w| w[0].0 < w[1].0) {
+        order.sort_unstable_by_key(|&i| row[i].0);
+    }
     let mut total = 0.0;
     let mut budget = 1.0;
-    for &i in &order {
+    for &i in order.iter() {
         let (t, lo, _) = row[i];
         if lo > 0.0 {
             total += lo * values[t];
@@ -247,7 +265,7 @@ fn inner_expectation(row: &[IntervalTransition], values: &[f64], maximize: bool)
         let ord = if maximize { ord.reverse() } else { ord };
         ord.then_with(|| row[a].0.cmp(&row[b].0))
     });
-    for &i in &order {
+    for &i in order.iter() {
         let (t, lo, hi) = row[i];
         let take = (hi - lo).min(budget);
         if take > 0.0 {
@@ -269,9 +287,12 @@ trait RobustModel {
     fn num_states(&self) -> usize;
     fn initial_state(&self) -> usize;
     fn labeling(&self) -> &Labeling;
+    /// Appends every successor of `state`, over all of its choices.
+    fn successors(&self, state: usize, out: &mut Vec<usize>);
     /// Extremized one-step backup at `state`: inner adversary per choice,
     /// outer fold over choices. `extra` adds a per-choice offset (choice
-    /// rewards); `minimize_outer` picks the scheduler side.
+    /// rewards); `minimize_outer` picks the scheduler side; `scratch` is
+    /// the inner adversary's reusable buffer.
     fn backup(
         &self,
         state: usize,
@@ -279,6 +300,7 @@ trait RobustModel {
         maximize_inner: bool,
         minimize_outer: bool,
         extra: &dyn Fn(usize, usize) -> f64,
+        scratch: &mut Vec<usize>,
     ) -> f64;
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError>;
 }
@@ -293,6 +315,9 @@ impl RobustModel for IntervalDtmc {
     fn labeling(&self) -> &Labeling {
         IntervalDtmc::labeling(self)
     }
+    fn successors(&self, state: usize, out: &mut Vec<usize>) {
+        out.extend(self.row(state).iter().map(|&(t, _, _)| t));
+    }
     fn backup(
         &self,
         state: usize,
@@ -300,8 +325,9 @@ impl RobustModel for IntervalDtmc {
         maximize_inner: bool,
         _minimize_outer: bool,
         extra: &dyn Fn(usize, usize) -> f64,
+        scratch: &mut Vec<usize>,
     ) -> f64 {
-        inner_expectation(self.row(state), values, maximize_inner) + extra(state, 0)
+        inner_expectation(self.row(state), values, maximize_inner, scratch) + extra(state, 0)
     }
     fn reward_structure(&self, name: Option<&str>) -> Result<&RewardStructure, CheckError> {
         lookup(name, |n| self.reward_structure(n).ok(), self.default_reward_structure())
@@ -318,6 +344,11 @@ impl RobustModel for IntervalMdp {
     fn labeling(&self) -> &Labeling {
         IntervalMdp::labeling(self)
     }
+    fn successors(&self, state: usize, out: &mut Vec<usize>) {
+        for choice in self.choices(state) {
+            out.extend(choice.transitions.iter().map(|&(t, _, _)| t));
+        }
+    }
     fn backup(
         &self,
         state: usize,
@@ -325,6 +356,7 @@ impl RobustModel for IntervalMdp {
         maximize_inner: bool,
         minimize_outer: bool,
         extra: &dyn Fn(usize, usize) -> f64,
+        scratch: &mut Vec<usize>,
     ) -> f64 {
         let fold = |acc: f64, v: f64| if minimize_outer { acc.min(v) } else { acc.max(v) };
         let mut best = if minimize_outer { f64::INFINITY } else { f64::NEG_INFINITY };
@@ -332,7 +364,7 @@ impl RobustModel for IntervalMdp {
             let IntervalChoice { transitions, .. } = choice;
             best = fold(
                 best,
-                inner_expectation(transitions, values, maximize_inner) + extra(state, c),
+                inner_expectation(transitions, values, maximize_inner, scratch) + extra(state, c),
             );
         }
         best
@@ -401,78 +433,270 @@ fn zip(a: Vec<bool>, b: Vec<bool>, f: impl Fn(bool, bool) -> bool) -> Vec<bool> 
     a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
 }
 
-/// One robust value-iteration solve. `seed` initializes the iterate,
-/// `frozen[s]` states never update (targets, infinite-reward states),
-/// `step` computes the backup for a live state. Charges the run's budget
-/// per sweep and returns the best iterate on exhaustion.
+/// Poll the budget every this many state updates (and at every block that
+/// iterates), the stride `numerics::scc` uses for back-substitution.
+const BUDGET_POLL_STRIDE: usize = 4096;
+
+/// The dependency structure of an unbounded robust solve: the successor
+/// graph over live (non-frozen) states — for an MDP the union over its
+/// choices — condensed into strongly connected components. Depends only on
+/// the model and the frozen mask, so both sides of a bracket share it.
+struct Topology {
+    /// Live components in dependency order (sinks first), each with its
+    /// states ascending.
+    blocks: Vec<Vec<usize>>,
+    /// Whether a state has an edge to itself: a single-state block with a
+    /// self-loop iterates, one without takes exactly one backup.
+    self_loop: Vec<bool>,
+    /// The most iterating blocks on any dependency path (at least one).
+    /// Each such block stops with a small residual error, and those errors
+    /// add up along the path, so every block stops at `tolerance / chain`.
+    chain: usize,
+}
+
+impl Topology {
+    fn new<M: RobustModel>(model: &M, frozen: &[bool]) -> Self {
+        let n = model.num_states();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::new();
+        let mut self_loop = vec![false; n];
+        let mut row = Vec::new();
+        offsets.push(0);
+        for s in 0..n {
+            if !frozen[s] {
+                row.clear();
+                model.successors(s, &mut row);
+                for &t in row.iter().filter(|&&t| !frozen[t]) {
+                    self_loop[s] |= t == s;
+                    targets.push(t);
+                }
+            }
+            offsets.push(targets.len());
+        }
+        // Frozen states have no edges, so each is a singleton component of
+        // its own and drops out of the block list.
+        let cond = condensation_from(n, |v| &targets[offsets[v]..offsets[v + 1]]);
+        // Sinks first, so every successor block's depth is already known.
+        let mut depth = vec![0usize; cond.components.len()];
+        for (c, comp) in cond.components.iter().enumerate() {
+            let below = comp
+                .iter()
+                .flat_map(|&s| &targets[offsets[s]..offsets[s + 1]])
+                .map(|&t| cond.comp_of[t])
+                .filter(|&d| d != c)
+                .map(|d| depth[d])
+                .max()
+                .unwrap_or(0);
+            depth[c] = below + usize::from(comp.len() > 1 || self_loop[comp[0]]);
+        }
+        let chain = depth.into_iter().max().unwrap_or(0).max(1);
+        let blocks = cond.components.into_iter().filter(|c| !frozen[c[0]]).collect();
+        Topology { blocks, self_loop, chain }
+    }
+}
+
+/// Charges the tally up to `updates ÷ n` sweep-equivalents, rounded up.
+fn settle(tally: &mut SweepTally<'_, '_>, updates: usize, n: usize) {
+    let due = (updates as u64).div_ceil(n.max(1) as u64);
+    tally.charge(due - tally.total());
+}
+
+/// Settles the charge and polls the budget: whether it ran out.
+fn out_of_budget(
+    run: &CheckRun<'_>,
+    tally: &mut SweepTally<'_, '_>,
+    updates: usize,
+    n: usize,
+) -> bool {
+    settle(tally, updates, n);
+    match run.exhausted() {
+        Some(cause) => {
+            run.mark_exhausted(cause);
+            true
+        }
+        None => false,
+    }
+}
+
+/// One unbounded robust value-iteration solve, in topological order. `x`
+/// is the seed iterate; states in no block of `topo` (the frozen targets
+/// and infinite-reward states) keep their seed values, and `step` computes
+/// the backup of a live state. Blocks are
+/// solved sinks first, so every state outside the current block is final:
+/// a trivial block takes one backup, any other runs in-place Gauss–Seidel
+/// sweeps in ascending state order until `max_iterations` sweeps have run
+/// or both its largest step and the error a geometric tail at the observed
+/// contraction rate would still leave are within `tolerance / chain` (the
+/// errors blocks stop with add up along dependency paths). The budget is
+/// charged in sweep-equivalents (state updates ÷ states) and the best
+/// iterate is returned on exhaustion.
 fn robust_vi(
     run: &CheckRun<'_>,
     mut x: Vec<f64>,
-    frozen: &[bool],
-    horizon: Option<u64>,
-    step: impl Fn(usize, &[f64]) -> f64,
+    topo: &Topology,
+    mut step: impl FnMut(usize, &[f64]) -> f64,
 ) -> Vec<f64> {
     let n = x.len();
     let opts = run.opts;
-    let max_sweeps = horizon.unwrap_or(opts.max_iterations as u64);
+    let mut span = tml_telemetry::span!(
+        "checker.robust.solve",
+        states = topo.blocks.iter().map(Vec::len).sum::<usize>(),
+        components = topo.blocks.len(),
+        largest = topo.blocks.iter().map(Vec::len).max().unwrap_or(0),
+    );
     tml_telemetry::counter!("checker.robust.solves", 1);
-    let mut sweeps = 0u64;
-    let mut diff = f64::INFINITY;
-    while sweeps < max_sweeps {
-        if let Some(cause) = run.exhausted() {
-            run.mark_exhausted(cause);
-            break;
-        }
-        diff = 0.0;
-        let mut next = x.clone();
-        for s in 0..n {
-            if frozen[s] {
-                continue;
+    let mut tally = run.sweeps();
+    let (mut updates, mut since_poll) = (0usize, 0usize);
+    let mut converged = true;
+    let mut residual = 0.0_f64;
+    let block_tolerance = opts.tolerance / topo.chain as f64;
+    'blocks: for block in &topo.blocks {
+        let iterates = block.len() > 1 || topo.self_loop[block[0]];
+        if iterates || since_poll >= BUDGET_POLL_STRIDE {
+            since_poll = 0;
+            if out_of_budget(run, &mut tally, updates, n) {
+                converged = false;
+                break;
             }
-            let v = step(s, &x);
-            let d = if v.is_infinite() && x[s].is_infinite() { 0.0 } else { (v - x[s]).abs() };
-            diff = diff.max(d);
-            next[s] = v;
         }
-        x = next;
-        sweeps += 1;
-        run.spend(1);
-        // A fixed horizon runs exactly `horizon` sweeps; an unbounded solve
-        // stops at the tolerance.
-        if horizon.is_none() && diff <= opts.tolerance {
-            break;
+        if !iterates {
+            let s = block[0];
+            x[s] = step(s, &x);
+            updates += 1;
+            since_poll += 1;
+            continue;
+        }
+        let mut sweeps = 0usize;
+        let mut previous = f64::INFINITY;
+        loop {
+            let (mut delta, mut magnitude) = (0.0_f64, 0.0_f64);
+            for &s in block {
+                let v = step(s, &x);
+                let d = if v.is_infinite() && x[s].is_infinite() { 0.0 } else { (v - x[s]).abs() };
+                delta = delta.max(d);
+                if v.is_finite() {
+                    magnitude = magnitude.max(v.abs());
+                }
+                x[s] = v;
+            }
+            sweeps += 1;
+            updates += block.len();
+            since_poll += block.len();
+            // The step must be small, and so must the error a geometric
+            // tail at the observed contraction rate would still leave. A
+            // step at the rounding level of the values is noise, whose
+            // rate says nothing.
+            let rate = delta / previous;
+            let tail = if rate < 1.0 { delta * rate / (1.0 - rate) } else { f64::INFINITY };
+            let noise = 8.0 * f64::EPSILON * magnitude;
+            if delta <= noise || (delta <= block_tolerance && tail <= block_tolerance) {
+                break;
+            }
+            previous = delta;
+            if sweeps >= opts.max_iterations {
+                converged = false;
+                residual = residual.max(delta);
+                break;
+            }
+            if since_poll >= BUDGET_POLL_STRIDE {
+                since_poll = 0;
+                if out_of_budget(run, &mut tally, updates, n) {
+                    converged = false;
+                    residual = residual.max(delta);
+                    break 'blocks;
+                }
+            }
         }
     }
-    tml_telemetry::counter!("checker.robust.sweeps", sweeps);
-    if horizon.is_none() {
-        let converged = diff <= opts.tolerance;
-        run.record_backend("robust", converged);
-        if !converged && diff.is_finite() {
-            run.record_residual(diff);
-        }
-    } else {
-        run.record_backend("robust", true);
+    settle(&mut tally, updates, n);
+    span.record("sweeps", tally.total());
+    tml_telemetry::counter!("checker.robust.sweeps", tally.total());
+    run.record_backend("robust", converged);
+    if !converged && residual.is_finite() && residual > 0.0 {
+        run.record_residual(residual);
     }
     x
 }
 
-/// Robust `P(φ U ψ)` per state for one side of the bracket.
-fn robust_until<M: RobustModel>(
-    model: &M,
-    phi: &[bool],
-    target: &[bool],
-    bound: Option<u64>,
+/// A step-bounded robust solve: exactly `k` synchronous sweeps (the
+/// `k`-step semantics of `U<=k`, `F<=k` and `C<=k`), alternating between
+/// two buffers. Charges one sweep each and returns the best iterate on
+/// exhaustion.
+fn robust_vi_bounded(
     run: &CheckRun<'_>,
-    maximize: bool,
-    minimize_outer: bool,
+    mut x: Vec<f64>,
+    frozen: &[bool],
+    k: u64,
+    mut step: impl FnMut(usize, &[f64]) -> f64,
 ) -> Vec<f64> {
-    let n = model.num_states();
-    let x: Vec<f64> = target.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
-    let frozen: Vec<bool> = (0..n).map(|s| target[s] || !phi[s]).collect();
-    let zero = |_: usize, _: usize| 0.0;
-    robust_vi(run, x, &frozen, bound, |s, vals| {
-        model.backup(s, vals, maximize, minimize_outer, &zero).clamp(0.0, 1.0)
-    })
+    tml_telemetry::counter!("checker.robust.solves", 1);
+    let mut tally = run.sweeps();
+    // Frozen entries never change, so both buffers hold them from here on.
+    let mut next = x.clone();
+    for _ in 0..k {
+        if let Some(cause) = run.exhausted() {
+            run.mark_exhausted(cause);
+            break;
+        }
+        for (s, v) in next.iter_mut().enumerate() {
+            if !frozen[s] {
+                *v = step(s, &x);
+            }
+        }
+        std::mem::swap(&mut x, &mut next);
+        tally.charge(1);
+    }
+    tml_telemetry::counter!("checker.robust.sweeps", tally.total());
+    run.record_backend("robust", true);
+    x
+}
+
+/// How far a robust reachability solve looks ahead.
+enum Horizon {
+    /// Exactly this many steps.
+    Steps(u64),
+    /// The fixed point, solved over this topology.
+    Unbounded(Topology),
+}
+
+/// One robust `P(φ U ψ)` problem: the seed iterate, the frozen mask (targets
+/// and states outside `φ` never update) and the horizon. Both sides of a
+/// bracket solve the same problem, so they share its topology.
+struct Reach {
+    seed: Vec<f64>,
+    frozen: Vec<bool>,
+    horizon: Horizon,
+}
+
+impl Reach {
+    fn new<M: RobustModel>(model: &M, phi: &[bool], target: &[bool], bound: Option<u64>) -> Self {
+        let seed = target.iter().map(|&t| if t { 1.0 } else { 0.0 }).collect();
+        let frozen: Vec<bool> = phi.iter().zip(target).map(|(&p, &t)| t || !p).collect();
+        let horizon = match bound {
+            Some(k) => Horizon::Steps(k),
+            None => Horizon::Unbounded(Topology::new(model, &frozen)),
+        };
+        Reach { seed, frozen, horizon }
+    }
+
+    /// The per-state probabilities for one side of the bracket.
+    fn solve<M: RobustModel>(
+        &self,
+        model: &M,
+        run: &CheckRun<'_>,
+        maximize: bool,
+        minimize_outer: bool,
+    ) -> Vec<f64> {
+        let zero = |_: usize, _: usize| 0.0;
+        let mut scratch = Vec::new();
+        let step = |s: usize, vals: &[f64]| {
+            model.backup(s, vals, maximize, minimize_outer, &zero, &mut scratch).clamp(0.0, 1.0)
+        };
+        match &self.horizon {
+            Horizon::Steps(k) => robust_vi_bounded(run, self.seed.clone(), &self.frozen, *k, step),
+            Horizon::Unbounded(topo) => robust_vi(run, self.seed.clone(), topo, step),
+        }
+    }
 }
 
 /// One-step robust `P(X target)`.
@@ -490,32 +714,41 @@ fn robust_next<M: RobustModel>(
     tml_telemetry::counter!("checker.robust.sweeps", 1);
     run.record_backend("robust", true);
     let zero = |_: usize, _: usize| 0.0;
-    (0..n).map(|s| model.backup(s, &ind, maximize, minimize_outer, &zero).clamp(0.0, 1.0)).collect()
+    let mut scratch = Vec::new();
+    (0..n)
+        .map(|s| {
+            model.backup(s, &ind, maximize, minimize_outer, &zero, &mut scratch).clamp(0.0, 1.0)
+        })
+        .collect()
 }
 
 /// Robust expected reward accumulated until reaching `target` on an
-/// interval DTMC. States whose worst-case (for this side) reach probability
-/// falls short of one get `+∞`.
+/// interval DTMC. `reach` is the bracket's shared `P(F target)` problem:
+/// states whose worst-case (for this side) reach probability falls short
+/// of one get `+∞`.
 fn robust_reach_rewards(
     model: &IntervalDtmc,
     rewards: &RewardStructure,
     target: &[bool],
+    reach: &Reach,
     run: &CheckRun<'_>,
     maximize: bool,
 ) -> Vec<f64> {
     let n = RobustModel::num_states(model);
-    let all = vec![true; n];
     // Maximal reward is finite only when *every* member reaches a.s.
     // (pessimistic reach = 1); minimal reward needs *some* member to reach
     // a.s. (optimistic reach = 1).
-    let reach = robust_until(model, &all, target, None, run, !maximize, false);
+    let reach = reach.solve(model, run, !maximize, false);
     let finite: Vec<bool> = reach.iter().map(|&p| p >= 1.0 - AS_REACH_EPS).collect();
     let x: Vec<f64> =
         (0..n).map(|s| if target[s] || finite[s] { 0.0 } else { f64::INFINITY }).collect();
     let frozen: Vec<bool> = (0..n).map(|s| target[s] || !finite[s]).collect();
+    let topo = Topology::new(model, &frozen);
     let zero = |_: usize, _: usize| 0.0;
-    robust_vi(run, x, &frozen, None, |s, vals| {
-        rewards.state_reward(s) + RobustModel::backup(model, s, vals, maximize, false, &zero)
+    let mut scratch = Vec::new();
+    robust_vi(run, x, &topo, |s, vals| {
+        rewards.state_reward(s)
+            + RobustModel::backup(model, s, vals, maximize, false, &zero, &mut scratch)
     })
 }
 
@@ -529,11 +762,10 @@ fn robust_cumulative_rewards<M: RobustModel>(
     minimize_outer: bool,
 ) -> Vec<f64> {
     let n = model.num_states();
-    let x = vec![0.0; n];
-    let frozen = vec![false; n];
     let extra = |s: usize, c: usize| rewards.state_reward(s) + rewards.choice_reward(s, c);
-    robust_vi(run, x, &frozen, Some(k), |s, vals| {
-        model.backup(s, vals, maximize, minimize_outer, &extra)
+    let mut scratch = Vec::new();
+    robust_vi_bounded(run, vec![0.0; n], &vec![false; n], k, |s, vals| {
+        model.backup(s, vals, maximize, minimize_outer, &extra, &mut scratch)
     })
 }
 
@@ -560,27 +792,22 @@ fn path_bracket<M: RobustModel>(
         PathFormula::Until { lhs, rhs, bound } => {
             let phi = eval_propositional(lab, n, lhs)?;
             let target = eval_propositional(lab, n, rhs)?;
-            (
-                robust_until(model, &phi, &target, *bound, run, false, true),
-                robust_until(model, &phi, &target, *bound, run, true, false),
-            )
+            let reach = Reach::new(model, &phi, &target, *bound);
+            (reach.solve(model, run, false, true), reach.solve(model, run, true, false))
         }
         PathFormula::Eventually { sub, bound } => {
             let target = eval_propositional(lab, n, sub)?;
-            let phi = vec![true; n];
-            (
-                robust_until(model, &phi, &target, *bound, run, false, true),
-                robust_until(model, &phi, &target, *bound, run, true, false),
-            )
+            let reach = Reach::new(model, &vec![true; n], &target, *bound);
+            (reach.solve(model, run, false, true), reach.solve(model, run, true, false))
         }
         PathFormula::Globally { sub, bound } => {
             // Robust duality: the adversary maximizing P(F ¬φ) is the one
             // minimizing P(G φ), so the G-bracket is the complemented,
             // side-swapped F-bracket.
             let inv: Vec<bool> = eval_propositional(lab, n, sub)?.iter().map(|b| !b).collect();
-            let phi = vec![true; n];
-            let f_hi = robust_until(model, &phi, &inv, *bound, run, true, false);
-            let f_lo = robust_until(model, &phi, &inv, *bound, run, false, true);
+            let reach = Reach::new(model, &vec![true; n], &inv, *bound);
+            let f_hi = reach.solve(model, run, true, false);
+            let f_lo = reach.solve(model, run, false, true);
             (
                 f_hi.iter().map(|p| (1.0 - p).clamp(0.0, 1.0)).collect(),
                 f_lo.iter().map(|p| (1.0 - p).clamp(0.0, 1.0)).collect(),
@@ -627,10 +854,11 @@ impl AnyInterval<'_> {
                     RewardKind::Reach(target) => {
                         let n = RobustModel::num_states(*m);
                         let mask = eval_propositional(RobustModel::labeling(*m), n, target)?;
-                        Ok(RobustBracket {
-                            pessimistic: robust_reach_rewards(m, rewards, &mask, run, false),
-                            optimistic: robust_reach_rewards(m, rewards, &mask, run, true),
-                        })
+                        let reach = Reach::new(*m, &vec![true; n], &mask, None);
+                        let side = |maximize| {
+                            robust_reach_rewards(m, rewards, &mask, &reach, run, maximize)
+                        };
+                        Ok(RobustBracket { pessimistic: side(false), optimistic: side(true) })
                     }
                     RewardKind::Cumulative(k) => Ok(RobustBracket {
                         pessimistic: robust_cumulative_rewards(*m, rewards, *k, run, false, true),
@@ -1056,6 +1284,127 @@ mod tests {
         assert!((glo - 0.6).abs() < 1e-9 && (ghi - 0.8).abs() < 1e-9);
     }
 
+    /// A trivial chain (0 → 1), a singleton with a self-loop (2), a
+    /// 3-state ring (3 → 4 → 5 → 3) and two absorbing sinks, goal (6) and
+    /// zero (7), whose robust extremes are derived by hand below.
+    fn three_shapes() -> IntervalDtmc {
+        let mut b = IntervalDtmcBuilder::new(8);
+        b.transition(0, 1, 1.0, 1.0).unwrap();
+        b.transition(1, 2, 0.5, 0.7).unwrap();
+        b.transition(1, 6, 0.3, 0.5).unwrap();
+        b.transition(2, 2, 0.2, 0.6).unwrap();
+        b.transition(2, 3, 0.2, 0.6).unwrap();
+        b.transition(2, 7, 0.1, 0.3).unwrap();
+        b.transition(3, 4, 1.0, 1.0).unwrap();
+        b.transition(4, 5, 1.0, 1.0).unwrap();
+        b.transition(5, 3, 0.4, 0.6).unwrap();
+        b.transition(5, 6, 0.2, 0.4).unwrap();
+        b.transition(5, 7, 0.1, 0.3).unwrap();
+        b.transition(6, 6, 1.0, 1.0).unwrap();
+        b.transition(7, 7, 1.0, 1.0).unwrap();
+        b.label(6, "goal").unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn topological_solve_pins_hand_derived_extremes() {
+        let m = three_shapes();
+        let frozen: Vec<bool> = (0..8).map(|s| s == 6).collect();
+        let topo = Topology::new(&m, &frozen);
+        // Sinks first: the zero sink and the ring, then 2, 1, 0; the
+        // frozen goal is no block.
+        assert_eq!(topo.blocks.len(), 5, "{:?}", topo.blocks);
+        let pos = |b: &[usize]| topo.blocks.iter().position(|x| x == b).unwrap();
+        assert!(pos(&[3, 4, 5]) < pos(&[2]) && pos(&[2]) < pos(&[1]) && pos(&[1]) < pos(&[0]));
+        assert!(pos(&[7]) < pos(&[2]));
+        assert!(topo.self_loop[2] && topo.self_loop[7]);
+        assert_eq!(topo.chain, 3, "zero sink, ring, then the self-looped state 2");
+        assert!(!topo.self_loop[0] && !topo.self_loop[1] && !topo.self_loop[5]);
+
+        let opts = CheckOptions { tolerance: 1e-14, ..CheckOptions::default() };
+        let q = tml_logic::parse_query("P=? [ F \"goal\" ]").unwrap();
+        let b = query_interval_dtmc(&m, &q, &opts).unwrap();
+        // Ring, pessimistic: the spare 0.3 goes to zero (cap 0.2), then
+        // back into the ring: v = 0.5·v + 0.2, v = 0.4. Optimistic: goal
+        // (cap 0.2), then the ring: v = 0.5·v + 0.4, v = 0.8.
+        // State 2, pessimistic: zero (0.2), then the self-loop (0.3):
+        // x = 0.5·x + 0.2·0.4, x = 0.16. Optimistic: the ring (0.4), then
+        // the self-loop (0.1): x = 0.3·x + 0.6·0.8, x = 24/35.
+        // State 1 (and 0): the spare 0.2 goes to state 2 when minimizing,
+        // to the goal when maximizing.
+        let pess = [0.412, 0.412, 0.16, 0.4, 0.4, 0.4, 1.0, 0.0];
+        let opt = [59.0 / 70.0, 59.0 / 70.0, 24.0 / 35.0, 0.8, 0.8, 0.8, 1.0, 0.0];
+        for s in 0..8 {
+            let (lo, hi) = b.at(s);
+            assert!((lo - pess[s]).abs() < 1e-12, "state {s}: pessimistic {lo} vs {}", pess[s]);
+            assert!((hi - opt[s]).abs() < 1e-12, "state {s}: optimistic {hi} vs {}", opt[s]);
+        }
+    }
+
+    #[test]
+    fn block_errors_do_not_add_up_along_a_deep_chain() {
+        // 20 layers of 2-state rings, each leaking to the next: every member
+        // reaches the goal almost surely, so both bracket ends are exactly 1.
+        // Each ring stops with a small error that every ring upstream
+        // inherits; the per-block tolerance keeps the sum within the
+        // tolerance.
+        let layers = 20;
+        let goal = 2 * layers;
+        let mut b = IntervalDtmcBuilder::new(goal + 1);
+        for l in 0..layers {
+            let next = if l + 1 == layers { goal } else { 2 * (l + 1) };
+            for i in 0..2 {
+                b.transition(2 * l + i, 2 * l + 1 - i, 0.85, 0.95).unwrap();
+                b.transition(2 * l + i, next, 0.05, 0.15).unwrap();
+            }
+        }
+        b.transition(goal, goal, 1.0, 1.0).unwrap();
+        b.label(goal, "goal").unwrap();
+        let m = b.build().unwrap();
+        let opts = CheckOptions::default();
+        let q = tml_logic::parse_query("P=? [ F \"goal\" ]").unwrap();
+        let (lo, hi) = query_interval_dtmc(&m, &q, &opts).unwrap().at(0);
+        assert!(1.0 - lo <= opts.tolerance && 1.0 - hi <= opts.tolerance, "[{lo}, {hi}]");
+    }
+
+    #[test]
+    fn slow_self_loop_is_not_stopped_by_its_small_steps() {
+        // A self-loop of 0.9999 moves the value by only 5e-5·0.9999^k per
+        // sweep: a plain step rule stops 1e-6 short of the true 1/2 and
+        // then wrongly certifies `P<=0.4999995` for the only member.
+        let mut b = IntervalDtmcBuilder::new(3);
+        b.transition(0, 0, 0.9999, 0.9999).unwrap();
+        b.transition(0, 1, 0.00005, 0.00005).unwrap();
+        b.transition(0, 2, 0.00005, 0.00005).unwrap();
+        b.transition(1, 1, 1.0, 1.0).unwrap();
+        b.transition(2, 2, 1.0, 1.0).unwrap();
+        b.label(1, "goal").unwrap();
+        let m = b.build().unwrap();
+        let phi = parse_formula("P<=0.4999995 [ F \"goal\" ]").unwrap();
+        let r = check_interval_dtmc(&m, &phi, &CheckOptions::default()).unwrap();
+        let (lo, hi) = r.bracket_at_initial().unwrap();
+        assert!((lo - 0.5).abs() < 1e-9 && (hi - 0.5).abs() < 1e-9, "[{lo}, {hi}]");
+        assert!(!r.holds());
+    }
+
+    #[test]
+    fn multi_block_budget_exhaustion_is_reported_in_range() {
+        let m = three_shapes();
+        let phi = parse_formula("P>=0.3 [ F \"goal\" ]").unwrap();
+        let opts = CheckOptions::default();
+        for k in [1, 2, 5, 10] {
+            let budget = Budget::unlimited().with_max_evaluations(k);
+            let run = CheckRun::new(&opts, &budget);
+            let r = check_dtmc_run(&m, &phi, &run).unwrap();
+            let diag = run.finish();
+            assert!(diag.exhausted.is_some(), "cap {k} must run out");
+            let b = r.bracket().unwrap();
+            for v in b.pessimistic.iter().chain(&b.optimistic) {
+                assert!((0.0..=1.0).contains(v), "cap {k}: best-effort value {v} out of range");
+            }
+        }
+    }
+
     #[test]
     fn inner_assignment_is_order_independent() {
         let values = [0.9, 0.1, 0.5];
@@ -1063,14 +1412,14 @@ mod tests {
         let mut row_b = row_a.clone();
         row_b.reverse();
         for maximize in [false, true] {
-            let a = inner_expectation(&row_a, &values, maximize);
-            let b = inner_expectation(&row_b, &values, maximize);
+            let a = inner_expectation(&row_a, &values, maximize, &mut Vec::new());
+            let b = inner_expectation(&row_b, &values, maximize, &mut Vec::new());
             assert_eq!(a.to_bits(), b.to_bits(), "bitwise determinism");
         }
         // Hand-checked pessimistic assignment: mass 1−0.4=0.6 distributed
         // to v=0.1 first (cap 0.4), then v=0.5 (cap 0.2 of 0.3):
         // 0.1*0.9(lo) + 0.2*0.1(lo) + 0.1*0.5(lo) + 0.4*0.1 + 0.2*0.5.
-        let pess = inner_expectation(&row_a, &values, false);
+        let pess = inner_expectation(&row_a, &values, false, &mut Vec::new());
         assert!((pess - (0.09 + 0.02 + 0.05 + 0.04 + 0.1)).abs() < 1e-12, "{pess}");
     }
 }

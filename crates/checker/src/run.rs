@@ -31,10 +31,22 @@ impl<'a> CheckRun<'a> {
         self.budget.check(self.diag.borrow().evaluations)
     }
 
-    /// Charges `sweeps` sweeps to the run (one call per solve, so the live
-    /// telemetry counter stays an aggregate-level event, not per-sweep).
+    /// Charges a finished solve's `sweeps` to the run and emits its one
+    /// `checker.solve.sweeps` event. Loops that charge as they go use
+    /// [`CheckRun::sweeps`] instead.
     pub(crate) fn spend(&self, sweeps: u64) {
         tml_telemetry::counter!("checker.solve.sweeps", sweeps);
+        self.charge(sweeps);
+    }
+
+    /// Opens the sweep tally of one iterative solve: sweeps charged through
+    /// it are visible to [`CheckRun::exhausted`] at once, and the total is
+    /// emitted as a single `checker.solve.sweeps` event when the tally drops.
+    pub(crate) fn sweeps(&self) -> SweepTally<'_, 'a> {
+        SweepTally { run: self, total: 0 }
+    }
+
+    fn charge(&self, sweeps: u64) {
         self.diag.borrow_mut().evaluations += sweeps;
     }
 
@@ -83,6 +95,31 @@ impl<'a> CheckRun<'a> {
     }
 }
 
+/// Per-solve sweep accounting; see [`CheckRun::sweeps`].
+pub(crate) struct SweepTally<'r, 'a> {
+    run: &'r CheckRun<'a>,
+    total: u64,
+}
+
+impl SweepTally<'_, '_> {
+    /// Charges `sweeps` to the run's budget without a telemetry event.
+    pub(crate) fn charge(&mut self, sweeps: u64) {
+        self.total += sweeps;
+        self.run.charge(sweeps);
+    }
+
+    /// Sweeps charged so far.
+    pub(crate) fn total(&self) -> u64 {
+        self.total
+    }
+}
+
+impl Drop for SweepTally<'_, '_> {
+    fn drop(&mut self) {
+        tml_telemetry::counter!("checker.solve.sweeps", self.total);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +137,39 @@ mod tests {
         assert_eq!(run.remaining_budget().max_evaluations(), Some(0));
         let diag = run.finish();
         assert_eq!(diag.evaluations, 10);
+    }
+
+    #[test]
+    fn a_sweep_tally_charges_as_it_goes_and_reports_once() {
+        use std::sync::Arc;
+        use tml_telemetry::event::Event;
+        use tml_telemetry::sink::RingSink;
+
+        let ring = Arc::new(RingSink::with_capacity(64));
+        let sub = Arc::new(tml_telemetry::Subscriber::builder().sink(ring.clone()).build());
+        let _guard = tml_telemetry::install_scoped(sub);
+        let opts = CheckOptions::default();
+        let budget = Budget::unlimited().with_max_evaluations(3);
+        let run = CheckRun::new(&opts, &budget);
+        {
+            let mut tally = run.sweeps();
+            for _ in 0..3 {
+                assert!(run.exhausted().is_none());
+                tally.charge(1);
+            }
+            assert_eq!(tally.total(), 3);
+            assert_eq!(run.exhausted(), Some(Exhaustion::Evaluations));
+        }
+        let sweeps: Vec<u64> = ring
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Counter { name, value, .. } if name == "checker.solve.sweeps" => Some(value),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sweeps, vec![3], "one event per solve, not one per sweep");
+        assert_eq!(run.finish().evaluations, 3);
     }
 
     #[test]

@@ -511,6 +511,7 @@ pub fn parametric_dtmc(seed: u64, n: usize, nparams: usize) -> GeneratedPdtmc {
 mod tests {
     use super::*;
     use tml_models::graph;
+    use tml_numerics::scc::condensation_from;
 
     fn goal_reachable_everywhere(d: &Dtmc) {
         let target = d.labeling().mask(GOAL_LABEL);
@@ -570,7 +571,7 @@ mod tests {
         assert_eq!(d.num_states(), 40);
         let adj: Vec<Vec<usize>> =
             (0..d.num_states()).map(|s| d.successors(s).map(|(t, _)| t).collect()).collect();
-        let comps = graph::sccs(&adj);
+        let comps = condensation_from(adj.len(), |v| adj[v].as_slice()).components;
         // Every component is a singleton (the goal's self-loop included).
         assert!(comps.iter().all(|c| c.len() == 1));
         goal_reachable_everywhere(&d);
@@ -582,7 +583,7 @@ mod tests {
         assert_eq!(d.num_states(), 3 * 2 * 4 + 1);
         let adj: Vec<Vec<usize>> =
             (0..d.num_states()).map(|s| d.successors(s).map(|(t, _)| t).collect()).collect();
-        let comps = graph::sccs(&adj);
+        let comps = condensation_from(adj.len(), |v| adj[v].as_slice()).components;
         // Rings survive as size-4 components unless a leak edge collapsed
         // one (possible only when ring == leak forced a rewire).
         let big = comps.iter().filter(|c| c.len() == 4).count();

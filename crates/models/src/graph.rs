@@ -427,65 +427,6 @@ impl EndComponent {
     }
 }
 
-/// Strongly connected components of an adjacency list, in reverse
-/// topological order (Tarjan's algorithm, iterative). Trivial one-state
-/// components without a self-edge are included.
-pub fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = adj.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out: Vec<Vec<usize>> = Vec::new();
-
-    // Iterative Tarjan: (node, next child position).
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        call.push((root, 0));
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *ci < adj[v].len() {
-                let w = adj[v][*ci];
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&mut (parent, _)) = call.last_mut() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack invariant");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort_unstable();
-                    out.push(comp);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Maximal end component (MEC) decomposition of an MDP.
 ///
 /// A MEC is a maximal set of states `C` with per-state action subsets such
@@ -568,7 +509,8 @@ pub fn maximal_end_components(mdp: &Mdp) -> Vec<EndComponent> {
                 succ
             })
             .collect();
-        let components = sccs(&adj);
+        let components =
+            tml_numerics::scc::condensation_from(adj.len(), |v| adj[v].as_slice()).components;
         let split = components.len() > 1 || survivors.len() < candidate.len();
         for comp in components {
             let states: Vec<usize> = comp.iter().map(|&i| survivors[i]).collect();
@@ -599,14 +541,16 @@ mod mec_tests {
 
     #[test]
     fn sccs_of_cycle_and_dag() {
+        use tml_numerics::scc::condensation_from;
         // 0 -> 1 -> 2 -> 0 cycle plus a tail 3 -> 0.
-        let adj = vec![vec![1], vec![2], vec![0], vec![0]];
-        let comps = sccs(&adj);
-        assert!(comps.contains(&vec![0, 1, 2]));
-        assert!(comps.contains(&vec![3]));
-        // pure DAG: all singletons
-        let dag = vec![vec![1], vec![2], vec![]];
-        assert_eq!(sccs(&dag).len(), 3);
+        let adj = [vec![1], vec![2], vec![0], vec![0]];
+        let comps = condensation_from(adj.len(), |v| adj[v].as_slice()).components;
+        // Dependency order: the cycle the tail leads into comes first.
+        assert_eq!(comps, vec![vec![0, 1, 2], vec![3]]);
+        // pure DAG: all singletons, sinks first
+        let dag = [vec![1], vec![2], vec![]];
+        let comps = condensation_from(dag.len(), |v| dag[v].as_slice()).components;
+        assert_eq!(comps, vec![vec![2], vec![1], vec![0]]);
     }
 
     #[test]

@@ -409,8 +409,15 @@ mod tests {
     }
 
     fn end(id: u64, name: &str, at: u64, dur: u64) -> String {
-        crate::event::Event::SpanEnd { id, name: name.into(), thread: 1, at_ns: at, dur_ns: dur }
-            .to_json_line()
+        crate::event::Event::SpanEnd {
+            id,
+            name: name.into(),
+            thread: 1,
+            at_ns: at,
+            dur_ns: dur,
+            fields: vec![],
+        }
+        .to_json_line()
     }
 
     #[test]

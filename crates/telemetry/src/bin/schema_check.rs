@@ -320,6 +320,9 @@ fn validate_trace(content: &str) -> Result<String, String> {
                 let id = field_u64(&v, "id", line_no)?;
                 let name = field_str(&v, "name", line_no)?;
                 field_u64(&v, "dur_ns", line_no)?;
+                if v.get("fields").is_some_and(|f| f.as_object().is_none()) {
+                    return Err(format!("line {line_no}: span_end \"fields\" must be an object"));
+                }
                 let Some((start_name, _)) = started.remove(&id) else {
                     return Err(format!(
                         "line {line_no}: span_end for id {id} without a matching span_start"
@@ -575,10 +578,12 @@ mod tests {
                 r#"{"type":"span_start","id":2,"parent":1,"name":"b","thread":1,"at_ns":5,"fields":{"k":3}}"#,
                 r#"{"type":"counter","name":"c","value":2,"thread":1,"at_ns":6}"#,
                 r#"{"type":"span_end","id":2,"name":"b","thread":1,"at_ns":9,"dur_ns":4}"#,
-                r#"{"type":"span_end","id":1,"name":"a","thread":1,"at_ns":10,"dur_ns":10}"#,
+                r#"{"type":"span_end","id":1,"name":"a","thread":1,"at_ns":10,"dur_ns":10,"fields":{"sweeps":3}}"#,
             ],
         );
         assert!(validate(&t).unwrap().starts_with("5 events (2 spans, 1 counters)"));
+        let bad = t.replace(r#""fields":{"sweeps":3}"#, r#""fields":3"#);
+        assert!(validate(&bad).is_err(), "end fields must be an object");
     }
 
     #[test]

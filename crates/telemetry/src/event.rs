@@ -111,6 +111,9 @@ pub enum Event {
         at_ns: u64,
         /// Wall time the span was open, in nanoseconds.
         dur_ns: u64,
+        /// Fields known only when the span closes (e.g. a solve's sweep
+        /// count); omitted on the wire when empty.
+        fields: Vec<(String, FieldValue)>,
     },
     /// A counter increment.
     Counter {
@@ -139,6 +142,18 @@ impl Event {
                 out.push('"');
             }
         }
+        fn write_fields(out: &mut String, fields: &[(String, FieldValue)]) {
+            out.push_str(",\"fields\":{");
+            for (i, (k, v)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_string(out, k);
+                out.push(':');
+                v.write_json(out);
+            }
+            out.push('}');
+        }
         let mut out = String::with_capacity(96);
         match self {
             Event::SpanStart { id, parent, name, thread, at_ns, trace, fields } => {
@@ -156,18 +171,10 @@ impl Event {
                 out.push_str(",\"at_ns\":");
                 out.push_str(&at_ns.to_string());
                 write_trace(&mut out, trace);
-                out.push_str(",\"fields\":{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_string(&mut out, k);
-                    out.push(':');
-                    v.write_json(&mut out);
-                }
-                out.push_str("}}");
+                write_fields(&mut out, fields);
+                out.push('}');
             }
-            Event::SpanEnd { id, name, thread, at_ns, dur_ns } => {
+            Event::SpanEnd { id, name, thread, at_ns, dur_ns, fields } => {
                 out.push_str("{\"type\":\"span_end\",\"id\":");
                 out.push_str(&id.to_string());
                 out.push_str(",\"name\":");
@@ -178,6 +185,9 @@ impl Event {
                 out.push_str(&at_ns.to_string());
                 out.push_str(",\"dur_ns\":");
                 out.push_str(&dur_ns.to_string());
+                if !fields.is_empty() {
+                    write_fields(&mut out, fields);
+                }
                 out.push('}');
             }
             Event::Counter { name, value, thread, at_ns, trace } => {
@@ -249,9 +259,29 @@ mod tests {
         let line = start.to_json_line();
         assert!(line.contains("\"parent\":null"));
         assert!(!line.contains("\"trace\""), "trace field is omitted when unset");
-        let end = Event::SpanEnd { id: 1, name: "root".into(), thread: 1, at_ns: 10, dur_ns: 10 };
-        let v = json::parse(&end.to_json_line()).unwrap();
+        let end = Event::SpanEnd {
+            id: 1,
+            name: "root".into(),
+            thread: 1,
+            at_ns: 10,
+            dur_ns: 10,
+            fields: vec![],
+        };
+        let line = end.to_json_line();
+        assert!(!line.contains("\"fields\""), "end fields are omitted when empty");
+        let v = json::parse(&line).unwrap();
         assert_eq!(v.get("dur_ns").and_then(|x| x.as_u64()), Some(10));
+        let end = Event::SpanEnd {
+            id: 1,
+            name: "root".into(),
+            thread: 1,
+            at_ns: 10,
+            dur_ns: 10,
+            fields: vec![("sweeps".into(), FieldValue::U64(3))],
+        };
+        let v = json::parse(&end.to_json_line()).unwrap();
+        let sweeps = v.get("fields").and_then(|f| f.get("sweeps")).and_then(|x| x.as_u64());
+        assert_eq!(sweeps, Some(3));
         let c = Event::Counter { name: "c".into(), value: 7, thread: 1, at_ns: 5, trace: Some(9) };
         let v = json::parse(&c.to_json_line()).unwrap();
         assert_eq!(v.get("value").and_then(|x| x.as_u64()), Some(7));

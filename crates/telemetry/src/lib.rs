@@ -413,6 +413,7 @@ struct SpanInner {
     id: u64,
     name: &'static str,
     start: Instant,
+    end_fields: Vec<(String, FieldValue)>,
 }
 
 impl SpanGuard {
@@ -425,6 +426,15 @@ impl SpanGuard {
     /// The span id, when the span is live (useful in tests).
     pub fn id(&self) -> Option<u64> {
         self.inner.as_ref().map(|i| i.id)
+    }
+
+    /// Attaches a field known only when the span closes (a solve's sweep
+    /// count, say); it is written on the `span_end` record. A no-op on a
+    /// disabled guard.
+    pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
+        if let Some(inner) = &mut self.inner {
+            inner.end_fields.push((key.to_owned(), value.into()));
+        }
     }
 }
 
@@ -449,6 +459,7 @@ impl Drop for SpanGuard {
             thread: thread_id(),
             at_ns: inner.sub.now_ns(),
             dur_ns,
+            fields: inner.end_fields,
         });
         inner.sub.record_duration_ns(&format!("span.{}", inner.name), dur_ns);
     }
@@ -479,7 +490,9 @@ pub fn enter_span(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -
         trace: trace.map(|c| c.trace_id),
         fields: fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
     });
-    SpanGuard { inner: Some(SpanInner { sub, id, name, start: Instant::now() }) }
+    SpanGuard {
+        inner: Some(SpanInner { sub, id, name, start: Instant::now(), end_fields: Vec::new() }),
+    }
 }
 
 /// Records a named counter increment through the current subscriber.
@@ -605,6 +618,27 @@ mod tests {
         assert_eq!(snap.counter("c"), 2);
         assert_eq!(snap.histogram("span.outer").unwrap().count, 1);
         assert_eq!(snap.histogram("span.inner").unwrap().count, 1);
+    }
+
+    #[test]
+    fn recorded_fields_ride_on_the_span_end() {
+        let (ring, _sub, _guard) = scoped();
+        {
+            let mut span = span!("solve", states = 4_u64);
+            span.record("sweeps", 9_u64);
+        }
+        let events = ring.drain();
+        match &events[1] {
+            Event::SpanEnd { name, fields, .. } => {
+                assert_eq!(name, "solve");
+                assert_eq!(fields, &vec![("sweeps".to_owned(), FieldValue::U64(9))]);
+            }
+            other => panic!("expected the span end, got {other:?}"),
+        }
+        // Recording on a disabled guard is a no-op.
+        let mut off = SpanGuard::disabled();
+        off.record("sweeps", 1_u64);
+        assert_eq!(off.id(), None);
     }
 
     #[test]

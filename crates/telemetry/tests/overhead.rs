@@ -5,24 +5,33 @@
 //! evaluation) in release builds.
 //!
 //! This lives in its own integration-test binary because (a) it needs a
-//! process-global counting allocator, which the `#![forbid(unsafe_code)]`
-//! library itself must not contain, and (b) no other test in this binary
-//! may install a subscriber.
+//! global counting allocator, which the `#![forbid(unsafe_code)]` library
+//! itself must not contain, and (b) no other test in this binary may
+//! install a subscriber.
+//!
+//! Allocations are counted per thread: the test harness runs the tests of
+//! this binary on sibling threads, and their allocations must not land in
+//! another test's measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use tml_telemetry::{counter, span};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const-initialized `Cell` has no destructor and no lazy init, so
+    // touching it from inside the allocator never allocates or recurses.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: delegates directly to the system allocator; the counter update
-// is a relaxed atomic add with no other side effects.
+// touches only this thread's const-initialized `Cell`, with no other side
+// effects. `try_with` skips counting during thread teardown.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -34,10 +43,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made by the calling thread while `f` runs.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! across transition insertion order, and across thread counts.
 
 use proptest::prelude::*;
+use tml_conformance::test_support::ModelFamily;
 use trusted_ml::checker::{CheckOptions, Checker};
 use trusted_ml::logic::{parse_query, Query};
 use trusted_ml::models::{Dtmc, DtmcBuilder, IntervalDtmc, IntervalDtmcBuilder};
@@ -144,6 +145,34 @@ proptest! {
                 prop_assert_eq!(hi.to_bits(), oh.to_bits(),
                     "state {}: optimistic differs from {} run", s, name);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The unbounded (topological, in-place) solve reaches the same fixed
+    /// point as the synchronous step-bounded iteration run far enough:
+    /// `F` and `F<=K` agree at a large `K`. Half-widths stay below the
+    /// smallest leak of both families, so no member can trap a component
+    /// and `K` steps leave a negligible tail.
+    #[test]
+    fn unbounded_bracket_matches_a_long_bounded_bracket(
+        family in prop_oneof![Just(ModelFamily::LayeredScc), Just(ModelFamily::Absorbing)],
+        seed in 0u64..10_000,
+        width in 0.0_f64..0.02,
+    ) {
+        let d = family.generate(seed);
+        let ball = IntervalDtmc::from_dtmc(&d, width);
+        let unbounded = tight_checker().query_interval_dtmc(&ball, &reach_query()).unwrap();
+        let bounded = tight_checker()
+            .query_interval_dtmc(&ball, &parse_query("P=? [ F<=5000 \"goal\" ]").unwrap())
+            .unwrap();
+        for s in 0..d.num_states() {
+            let ((ul, uh), (bl, bh)) = (unbounded.at(s), bounded.at(s));
+            prop_assert!((ul - bl).abs() <= 1e-8, "state {}: pessimistic {} vs {}", s, ul, bl);
+            prop_assert!((uh - bh).abs() <= 1e-8, "state {}: optimistic {} vs {}", s, uh, bh);
         }
     }
 }

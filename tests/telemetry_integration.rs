@@ -3,6 +3,9 @@
 //! whose phase durations sum to the parent repair span (within tolerance —
 //! the phases cover everything but loop glue), and whose root span agrees
 //! with externally measured wall time.
+//!
+//! The global subscriber sees every thread of this process, so every test
+//! here that runs instrumented code holds `TEST_MUTEX`.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -273,7 +276,11 @@ mod span_tree_reconstruction {
 #[test]
 fn disabled_telemetry_changes_no_repair_outcome() {
     // No subscriber installed: the instrumented repair must behave exactly
-    // as before telemetry existed.
+    // as before telemetry existed. The lock keeps the traced test's global
+    // subscriber from being installed meanwhile — it would both enable this
+    // run and receive its spans, unbalancing that test's trace.
+    let _lock = trusted_ml::telemetry::TEST_MUTEX.lock().unwrap_or_else(|e| e.into_inner());
+    assert!(!trusted_ml::telemetry::enabled(), "no subscriber installed");
     let config = WsnConfig::default();
     let chain = build_dtmc(&config).expect("wsn chain");
     let template = repair_template(&config).expect("wsn template");
